@@ -4,9 +4,10 @@
 #                hardened-runtime packages + short campaign, fleet,
 #                serving-chaos, network-tier, crash/disk-fault and
 #                repair-ladder lifetime soak smokes + a short fuzz pass over
-#                the journal record and snapshot decoders and the f32 kernel
-#                envelope + the batched inference, training and
-#                multi-precision performance gates (bench-smoke)
+#                the journal record and snapshot decoders, the f32 kernel
+#                envelope and the crossbar tile pass + the batched
+#                inference, training and multi-precision performance gates
+#                (bench-smoke)
 #   make bench-smoke  gate the batched monitor readout and the engine
 #                training step against the committed baseline ratios (min
 #                speedup over the legacy paths, max allocs/op), after
@@ -118,12 +119,14 @@ crash-soak:
 	$(GO) run ./cmd/monitor -crash-soak -campaigns 8 -devices 3
 
 # short coverage-guided pass over the journal record decoder, the snapshot
-# decoder and the f32-vs-f64 matmul envelope (committed corpora seed all
-# three; go's fuzzer takes one target per invocation)
+# decoder, the f32-vs-f64 matmul envelope and the mapped-corner crossbar
+# tile pass against its naive full-array reference (committed corpora seed
+# all four; go's fuzzer takes one target per invocation)
 fuzz-short:
 	$(GO) test ./internal/journal -run='^$$' -fuzz=FuzzDecodeAll -fuzztime=10s
 	$(GO) test ./internal/journal -run='^$$' -fuzz=FuzzDecodeSnapshot -fuzztime=10s
 	$(GO) test ./internal/tensor -run='^$$' -fuzz=FuzzMatMulF32VsF64 -fuzztime=10s
+	$(GO) test ./internal/reram -run='^$$' -fuzz=FuzzTiledMatVec -fuzztime=10s
 
 # performance gate on the batch-first inference AND training engines, the
 # hardware cost accounting layer and the multi-precision kernel tier: the

@@ -17,6 +17,12 @@
 // mathematically identical except for DAC/ADC quantization and is what the
 // statistical sweeps use — exactly the weight-level abstraction of the
 // paper's §IV error models.
+//
+// Every cell stores one conductance: its effective one. A stuck cell holds
+// GOff (SA0) or GOn (SA1) from the moment it is marked stuck, and writes that
+// reach it draw their programming variation but leave it pinned. Readers —
+// the MAC loop, ADC calibration, the weight readout — therefore never consult
+// the fault state.
 package reram
 
 import (
@@ -81,7 +87,7 @@ type Crossbar struct {
 	Rows, Cols int
 	dev        DeviceParams
 	target     []float64 // intended conductances
-	actual     []float64 // programmed conductances incl. variation/drift
+	actual     []float64 // effective conductances incl. variation/drift; stuck cells pinned
 	state      []CellState
 	spares     int      // spare word-lines still available for RemapRow
 	counter    *Counter // nil = unmetered; see cost.go
@@ -112,15 +118,46 @@ func NewCrossbar(rows, cols int, dev DeviceParams, r *rng.RNG) *Crossbar {
 	for i := range x.target {
 		x.target[i] = dev.GOff
 		x.actual[i] = dev.GOff
-		u := r.Float64()
-		switch {
-		case u < dev.SA0Rate:
-			x.state[i] = CellSA0
-		case u < dev.SA0Rate+dev.SA1Rate:
-			x.state[i] = CellSA1
-		}
+		x.setState(i, stuckDraw(r.Float64(), dev.SA0Rate, dev.SA1Rate))
 	}
 	return x
+}
+
+// stuckDraw maps one uniform draw u onto a fault state: SA0 below p0, SA1
+// below p0+p1, healthy otherwise.
+func stuckDraw(u, p0, p1 float64) CellState {
+	switch {
+	case u < p0:
+		return CellSA0
+	case u < p0+p1:
+		return CellSA1
+	}
+	return CellOK
+}
+
+// setState records the fault state of cell idx. Marking a cell stuck pins
+// its stored conductance to the stuck value; a cell set back to CellOK keeps
+// its stored value until the next write.
+func (x *Crossbar) setState(idx int, s CellState) {
+	x.state[idx] = s
+	switch s {
+	case CellSA0:
+		x.actual[idx] = x.dev.GOff
+	case CellSA1:
+		x.actual[idx] = x.dev.GOn
+	}
+}
+
+// program pulses cell idx toward conductance g, drawing lognormal
+// programming variation. A stuck cell takes the pulse, and its RNG draw, but
+// keeps its pinned conductance.
+func (x *Crossbar) program(idx int, g float64) {
+	if x.dev.ProgramSigma > 0 {
+		g = clampG(g*x.r.LogNormal(0, x.dev.ProgramSigma), x.dev)
+	}
+	if x.state[idx] == CellOK {
+		x.actual[idx] = g
+	}
 }
 
 // Program writes the (Rows, Cols) target conductance matrix into the array,
@@ -138,28 +175,14 @@ func (x *Crossbar) Program(g *tensor.Tensor) {
 			v = x.dev.GOn
 		}
 		x.target[i] = v
-		a := v
-		if x.dev.ProgramSigma > 0 {
-			a = clampG(v*x.r.LogNormal(0, x.dev.ProgramSigma), x.dev)
-		}
-		x.actual[i] = a
+		x.program(i, v)
 	}
 	x.counter.Charge(writeCost(uint64(x.Rows) * uint64(x.Cols)))
 }
 
-// Conductance returns the effective conductance of cell (i, j), accounting
-// for stuck-at state.
-func (x *Crossbar) Conductance(i, j int) float64 {
-	idx := i*x.Cols + j
-	switch x.state[idx] {
-	case CellSA0:
-		return x.dev.GOff
-	case CellSA1:
-		return x.dev.GOn
-	default:
-		return x.actual[idx]
-	}
-}
+// Conductance returns the effective conductance of cell (i, j), stuck-at
+// state included.
+func (x *Crossbar) Conductance(i, j int) float64 { return x.actual[i*x.Cols+j] }
 
 // MatVec drives voltages v (length Rows, word-lines) and accumulates bitline
 // currents into out (length Cols): out[j] = Σ_i v[i]·G(i,j). This is the
@@ -168,6 +191,14 @@ func (x *Crossbar) MatVec(v, out []float64) {
 	if len(v) != x.Rows || len(out) != x.Cols {
 		panic(fmt.Sprintf("reram: MatVec dims v=%d out=%d, want %d/%d", len(v), len(out), x.Rows, x.Cols))
 	}
+	x.matVec(v, out)
+}
+
+// matVec is MatVec over the leading len(v) word-lines and len(out) bit-lines
+// — the mapped corner of a tile. Each driven word-line is still charged as a
+// read of all Cols cells: the array conducts on every bit-line, the
+// simulator only skips the currents nobody reads.
+func (x *Crossbar) matVec(v, out []float64) {
 	for j := range out {
 		out[j] = 0
 	}
@@ -177,15 +208,8 @@ func (x *Crossbar) MatVec(v, out []float64) {
 			continue
 		}
 		activeRows++
-		row := x.actual[i*x.Cols : (i+1)*x.Cols]
-		st := x.state[i*x.Cols : (i+1)*x.Cols]
+		row := x.actual[i*x.Cols:][:len(out)]
 		for j, g := range row {
-			switch st[j] {
-			case CellSA0:
-				g = x.dev.GOff
-			case CellSA1:
-				g = x.dev.GOn
-			}
 			out[j] += vi * g
 		}
 	}
@@ -244,13 +268,7 @@ func (x *Crossbar) InjectStuckAt(p0, p1 float64) {
 		if x.state[i] != CellOK {
 			continue
 		}
-		u := x.r.Float64()
-		switch {
-		case u < p0:
-			x.state[i] = CellSA0
-		case u < p0+p1:
-			x.state[i] = CellSA1
-		}
+		x.setState(i, stuckDraw(x.r.Float64(), p0, p1))
 	}
 }
 

@@ -220,29 +220,30 @@ func (t *TiledLinear) MatVecInto(out, x []float64) {
 	// data-independent pass charge (conversions, cycles, buffer traffic);
 	// the crossbars below charge their own data-dependent reads
 	t.counter.Charge(t.passCost)
-	vin, ip, in := t.vin, t.ip, t.in
+	// Only the mapped corner of each tile is computed: unmapped word-lines
+	// are never driven, and unmapped bit-lines feed no output.
 	for rt := 0; rt < t.rowTiles; rt++ {
 		// load, range-normalise and DAC-quantize this tile row's inputs
-		for i := range vin {
-			gi := rt*t.cfg.TileRows + i
-			if gi < t.In && x[gi] > 0 {
-				vin[i] = t.dac.Quantize(x[gi] / vmax)
+		r0 := rt * t.cfg.TileRows
+		vin := t.vin[:min(t.cfg.TileRows, t.In-r0)]
+		for i, xi := range x[r0 : r0+len(vin)] {
+			if xi > 0 {
+				vin[i] = t.dac.Quantize(xi / vmax)
 			} else {
 				vin[i] = 0
 			}
 		}
 		for ct := 0; ct < t.colTiles; ct++ {
-			tp := t.tiles[rt][ct]
-			tp.pos.MatVec(vin, ip)
-			tp.neg.MatVec(vin, in)
+			tp := &t.tiles[rt][ct]
+			c0 := ct * t.cfg.TileCols
+			o := out[c0 : c0+min(t.cfg.TileCols, t.Out-c0)]
+			ip, in := t.ip[:len(o)], t.in[:len(o)]
+			tp.pos.matVec(vin, ip)
+			tp.neg.matVec(vin, in)
 			tp.adcPos.QuantizeSlice(ip)
 			tp.adcNeg.QuantizeSlice(in)
-			for j := 0; j < t.cfg.TileCols; j++ {
-				gj := ct*t.cfg.TileCols + j
-				if gj >= t.Out {
-					break
-				}
-				out[gj] += (ip[j] - in[j]) * t.scale * vmax
+			for j := range o {
+				o[j] += (ip[j] - in[j]) * t.scale * vmax
 			}
 		}
 	}

@@ -54,11 +54,7 @@ func (x *Crossbar) Scrub(tol float64) (scanned, rewritten int) {
 		}
 		scanned++
 		if d := a - x.target[i]; d > band || d < -band {
-			g := x.target[i]
-			if x.dev.ProgramSigma > 0 {
-				g = clampG(g*x.r.LogNormal(0, x.dev.ProgramSigma), x.dev)
-			}
-			x.actual[i] = g
+			x.program(i, x.target[i])
 			rewritten++
 		}
 	}
@@ -85,22 +81,9 @@ func (x *Crossbar) RemapRow(i int) bool {
 	}
 	x.spares--
 	base := i * x.Cols
-	for j := 0; j < x.Cols; j++ {
-		idx := base + j
-		u := x.r.Float64()
-		switch {
-		case u < x.dev.SA0Rate:
-			x.state[idx] = CellSA0
-		case u < x.dev.SA0Rate+x.dev.SA1Rate:
-			x.state[idx] = CellSA1
-		default:
-			x.state[idx] = CellOK
-		}
-		g := x.target[idx]
-		if x.dev.ProgramSigma > 0 {
-			g = clampG(g*x.r.LogNormal(0, x.dev.ProgramSigma), x.dev)
-		}
-		x.actual[idx] = g
+	for idx := base; idx < base+x.Cols; idx++ {
+		x.setState(idx, stuckDraw(x.r.Float64(), x.dev.SA0Rate, x.dev.SA1Rate))
+		x.program(idx, x.target[idx])
 	}
 	x.counter.Charge(writeCost(uint64(x.Cols)))
 	return true
@@ -113,11 +96,7 @@ func (x *Crossbar) ProgramCell(i, j int, g float64) {
 	idx := i*x.Cols + j
 	g = clampG(g, x.dev)
 	x.target[idx] = g
-	a := g
-	if x.dev.ProgramSigma > 0 {
-		a = clampG(g*x.r.LogNormal(0, x.dev.ProgramSigma), x.dev)
-	}
-	x.actual[idx] = a
+	x.program(idx, g)
 	x.counter.Charge(writeCost(1))
 }
 

@@ -47,7 +47,7 @@ func TestScrubSkipsStuckCells(t *testing.T) {
 	dev := idealParams()
 	x := NewCrossbar(4, 4, dev, rng.New(32))
 	x.Program(tensor.Full(40e-6, 4, 4))
-	x.state[0] = CellSA1 // pin one cell far from target
+	x.setState(0, CellSA1) // pin one cell far from target
 	scanned, rewritten := x.Scrub(0.01)
 	if scanned != 15 || rewritten != 0 {
 		t.Fatalf("scrub touched stuck cell: scanned=%d rewritten=%d", scanned, rewritten)
@@ -86,7 +86,7 @@ func TestRemapRowConsumesSparesAndRestoresLine(t *testing.T) {
 	x.Program(tensor.Full(40e-6, 4, 4))
 	// pin an entire word-line
 	for j := 0; j < 4; j++ {
-		x.state[1*4+j] = CellSA0
+		x.setState(1*4+j, CellSA0)
 	}
 	if x.SpareRowsLeft() != 2 {
 		t.Fatalf("spares=%d, want 2", x.SpareRowsLeft())
@@ -125,7 +125,7 @@ func TestProgramCellClampsAndTracksTarget(t *testing.T) {
 		t.Fatalf("ProgramCell clamp failed: target=%v actual=%v", x.Target(0, 1), x.Conductance(0, 1))
 	}
 	// writing a stuck cell records intent but the readout stays pinned
-	x.state[0] = CellSA0
+	x.setState(0, CellSA0)
 	x.ProgramCell(0, 0, 50e-6)
 	if x.Target(0, 0) != 50e-6 {
 		t.Fatal("stuck cell write did not record target")
@@ -136,13 +136,14 @@ func TestProgramCellClampsAndTracksTarget(t *testing.T) {
 }
 
 // stuckPin pins cell (i, j) of the given polarity in every tile pair holder
-// — test-only direct state injection for deterministic placement.
+// — test-only direct state injection for deterministic placement, through
+// the same pinning path InjectStuckAt uses.
 func stuckPin(tl *TiledLinear, rt, ct, i, j int, pos bool, s CellState) {
 	tp := &tl.tiles[rt][ct]
 	if pos {
-		tp.pos.state[i*tp.pos.Cols+j] = s
+		tp.pos.setState(i*tp.pos.Cols+j, s)
 	} else {
-		tp.neg.state[i*tp.neg.Cols+j] = s
+		tp.neg.setState(i*tp.neg.Cols+j, s)
 	}
 }
 
