@@ -5,9 +5,13 @@
 #                serving-chaos, network-tier, crash/disk-fault and
 #                repair-ladder lifetime soak smokes + a short fuzz pass over
 #                the journal record and snapshot decoders, the f32 kernel
-#                envelope and the crossbar tile pass + the batched
-#                inference, training and multi-precision performance gates
-#                (bench-smoke)
+#                envelope, the crossbar tile pass and the /v1/infer handler
+#                + the batched inference, training and multi-precision
+#                performance gates (bench-smoke)
+#   make check-stress  the network and serving soak tests and the netserve
+#                package, three runs each, while two busy-loop processes
+#                load the CPUs (killed when the recipe exits); not part of
+#                check, run it after touching teardown or drain code
 #   make bench-smoke  gate the batched monitor readout and the engine
 #                training step against the committed baseline ratios (min
 #                speedup over the legacy paths, max allocs/op), after
@@ -36,7 +40,7 @@ RACE_PKGS = ./internal/health/... ./internal/campaign/... ./internal/monitor/...
 .PHONY: check vet build test race-fast race soak-smoke soak \
         fleet-soak-smoke fleet-soak serve-soak-smoke serve-soak \
         net-soak-smoke net-soak crash-soak-smoke crash-soak \
-        lifetime-soak-smoke lifetime-soak fuzz-short bench-smoke
+        lifetime-soak-smoke lifetime-soak fuzz-short bench-smoke check-stress
 
 check: vet build test race-fast soak-smoke fleet-soak-smoke serve-soak-smoke net-soak-smoke crash-soak-smoke lifetime-soak-smoke fuzz-short bench-smoke
 	@echo "check: PASS"
@@ -119,14 +123,26 @@ crash-soak:
 	$(GO) run ./cmd/monitor -crash-soak -campaigns 8 -devices 3
 
 # short coverage-guided pass over the journal record decoder, the snapshot
-# decoder, the f32-vs-f64 matmul envelope and the mapped-corner crossbar
-# tile pass against its naive full-array reference (committed corpora seed
-# all four; go's fuzzer takes one target per invocation)
+# decoder, the f32-vs-f64 matmul envelope, the mapped-corner crossbar tile
+# pass against its naive full-array reference, and POST /v1/infer against a
+# direct engine call plus the tier's accounting identities (committed
+# corpora seed all five; go's fuzzer takes one target per invocation)
 fuzz-short:
 	$(GO) test ./internal/journal -run='^$$' -fuzz=FuzzDecodeAll -fuzztime=10s
 	$(GO) test ./internal/journal -run='^$$' -fuzz=FuzzDecodeSnapshot -fuzztime=10s
 	$(GO) test ./internal/tensor -run='^$$' -fuzz=FuzzMatMulF32VsF64 -fuzztime=10s
 	$(GO) test ./internal/reram -run='^$$' -fuzz=FuzzTiledMatVec -fuzztime=10s
+	$(GO) test ./internal/netserve -run='^$$' -fuzz=FuzzInferHandler -fuzztime=10s
+
+# the soak and netserve tests under CPU contention: teardown-ordering bugs
+# (an http.Server.Shutdown waiting out a spare client connection) pass on an
+# idle host and fail on a busy one. Two busy loops share the CPUs with the
+# tests and are killed however the recipe exits.
+check-stress:
+	@sh -c 'yes >/dev/null & a=$$!; yes >/dev/null & b=$$!; \
+	  trap "kill $$a $$b 2>/dev/null" EXIT; trap "exit 130" INT TERM; \
+	  $(GO) test -count=3 -run "TestNetSoak|TestServeSoak" ./internal/campaign && \
+	  $(GO) test -count=3 ./internal/netserve/...'
 
 # performance gate on the batch-first inference AND training engines, the
 # hardware cost accounting layer and the multi-precision kernel tier: the

@@ -9,15 +9,17 @@
 //	stuck-at burst → confirmed IMPAIRED → stuck-cell diagnosis +
 //	                                      fault-aware retraining
 //
-// Each repair is verified with fresh concurrent-test rounds before the
-// runtime declares recovery; a verification failure escalates to the next
-// costlier mechanism (reprogram → retrain → replace) instead of declaring
-// victory open-loop.
+// The device's repair mechanisms are one ladder of strategy rungs
+// (reprogram → retrain → replace). Each repair is verified with fresh
+// concurrent-test rounds before the runtime declares recovery; a
+// verification failure escalates to the next costlier rung instead of
+// declaring victory open-loop.
 //
 //	go run ./examples/self_healing
 package main
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"os"
@@ -62,37 +64,52 @@ func (d *device) accuracy() float64 {
 	return d.engine().Accuracy(eval.X, eval.Y, 64)
 }
 
-// Apply executes one planned repair action against the hardware.
-func (d *device) Apply(action repair.Action) (*nn.Network, error) {
-	switch action {
-	case repair.Reprogram:
-		fmt.Println("  repair: reprogramming all crossbars")
-		d.accel.Reprogram()
-		return nil, nil
-	case repair.Retrain:
-		// cloud-edge path: diagnose stuck cells (leaves the arrays
-		// reprogrammed), fine-tune around the frozen faults, redeploy, and
-		// hand back the new reference for monitor recommissioning
-		stuck, err := repair.DiagnoseStuck(d.accel, d.ref, 0.3)
-		if err != nil {
-			return nil, err
-		}
-		fmt.Printf("  repair: retraining around %d stuck cells\n", stuck.Count())
-		faulty := d.accel.ReadoutNetwork()
-		cfg := repair.DefaultRetrainConfig()
-		cfg.Epochs = 2
-		repair.RetrainAround(faulty, stuck, d.env.DigitsTrain.Head(2000), nil, cfg)
-		d.accel.ProgramNetwork(faulty)
-		d.ref = faulty
-		return faulty, nil
-	case repair.Replace:
-		fmt.Println("  repair: replacing the module with a fresh part")
-		d.accel = reram.NewAccelerator(d.env.LeNet, d.rcfg, 12)
-		d.ref = d.env.LeNet
-		return d.env.LeNet, nil
-	default:
-		return nil, nil
+// Strategies implements health.Repairer: the fixed reprogram → retrain →
+// replace suite, entered at the mechanism repair.PlanFor names for the
+// confirmed status and escalated one tier per failed verification.
+func (d *device) Strategies() []repair.Strategy {
+	return []repair.Strategy{
+		repair.Tier(repair.Reprogram, d.reprogram),
+		repair.Tier(repair.Retrain, d.retrain),
+		repair.Tier(repair.Replace, d.replace),
 	}
+}
+
+// Diagnose implements health.Repairer: the fixed tiers key on the confirmed
+// status alone.
+func (d *device) Diagnose(confirmed monitor.Status) repair.Diagnosis {
+	return repair.Diagnosis{Status: confirmed}
+}
+
+func (d *device) reprogram(context.Context, repair.Diagnosis) (repair.Report, error) {
+	fmt.Println("  repair: reprogramming all crossbars")
+	d.accel.Reprogram()
+	return repair.Report{}, nil
+}
+
+// retrain is the cloud-edge path: diagnose stuck cells (leaves the arrays
+// reprogrammed), fine-tune around the frozen faults, redeploy, and hand back
+// the new reference for monitor recommissioning.
+func (d *device) retrain(context.Context, repair.Diagnosis) (repair.Report, error) {
+	stuck, err := repair.DiagnoseStuck(d.accel, d.ref, 0.3)
+	if err != nil {
+		return repair.Report{}, err
+	}
+	fmt.Printf("  repair: retraining around %d stuck cells\n", stuck.Count())
+	faulty := d.accel.ReadoutNetwork()
+	cfg := repair.DefaultRetrainConfig()
+	cfg.Epochs = 2
+	repair.RetrainAround(faulty, stuck, d.env.DigitsTrain.Head(2000), nil, cfg)
+	d.accel.ProgramNetwork(faulty)
+	d.ref = faulty
+	return repair.Report{NewRef: faulty}, nil
+}
+
+func (d *device) replace(context.Context, repair.Diagnosis) (repair.Report, error) {
+	fmt.Println("  repair: replacing the module with a fresh part")
+	d.accel = reram.NewAccelerator(d.env.LeNet, d.rcfg, 12)
+	d.ref = d.env.LeNet
+	return repair.Report{NewRef: d.env.LeNet}, nil
 }
 
 func main() {

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"reramtest/internal/monitor"
 	"reramtest/internal/repair"
 )
 
@@ -83,14 +84,28 @@ func TestLifetimeSoakDeterministic(t *testing.T) {
 	}
 }
 
-// TestPlantStrategySurface pins the Plant's StrategyRepairer contract: no
-// ladder unless opted in (legacy campaigns stay on the fixed-action path),
-// a single retrain rung for the control arm, and the full escalation ladder
+// TestPlantStrategySurface pins the Plant's Repairer contract: the fixed
+// reprogram → retrain → replace suite unless the ladder is opted in, a
+// single retrain rung for the control arm, and the full escalation ladder
 // in cost order otherwise.
 func TestPlantStrategySurface(t *testing.T) {
 	cfg := DefaultPlantConfig()
-	if got := NewPlant(1, cfg).Strategies(); got != nil {
-		t.Fatalf("legacy plant exposes %d strategies, want none", len(got))
+	fixed := NewPlant(1, cfg).Strategies()
+	if want := []string{"reprogram", "retrain", "replace"}; !reflect.DeepEqual(names(fixed), want) {
+		t.Fatalf("default plant strategies = %v, want %v", names(fixed), want)
+	}
+	// each tier costs one unit and applies from the status PlanFor maps to
+	// it upward, so an episode opens exactly where PlanFor points
+	for i, s := range fixed {
+		if s.Cost() != 1 {
+			t.Errorf("%s costs %d, want 1", s.Name(), s.Cost())
+		}
+		for st := monitor.Degraded; st <= monitor.Critical; st++ {
+			want := repair.PlanFor(st) <= repair.Action(i+1)
+			if got := s.Applicable(repair.Diagnosis{Status: st}); got != want {
+				t.Errorf("%s applicable at %s = %v, want %v", s.Name(), st, got, want)
+			}
+		}
 	}
 
 	cfg.RetrainOnly = true

@@ -52,7 +52,7 @@ type PlantConfig struct {
 
 	// Ladder exposes the plant's pluggable repair-strategy suite
 	// (scrub → remap → retrain) to the health runtime; when false the plant
-	// repairs through the legacy fixed-action path only.
+	// repairs through the fixed reprogram → retrain → replace suite.
 	Ladder bool
 	// RetrainOnly restricts the exposed suite to the retrain strategy — the
 	// lifetime soak's control arm, charged in the same cost units as the
@@ -213,9 +213,7 @@ func (g GlitchMode) String() string {
 	}
 }
 
-// Plant is one campaign's device-under-test. It implements health.Repairer,
-// and — when cfg.Ladder or cfg.RetrainOnly exposes the strategy suite —
-// health.StrategyRepairer.
+// Plant is one campaign's device-under-test. It implements health.Repairer.
 type Plant struct {
 	cfg     PlantConfig
 	tmpl    *template
@@ -393,49 +391,7 @@ func (p *Plant) ShadowStatus(cfg monitor.Config) monitor.Status {
 	return shadow.Check(p.BaseInfer()).Status
 }
 
-// Apply implements health.Repairer against the simulated hardware.
-func (p *Plant) Apply(action repair.Action) (*nn.Network, error) {
-	switch action {
-	case repair.NoAction:
-		return nil, nil
-	case repair.Reprogram:
-		p.accel.Reprogram()
-		return nil, nil
-	case repair.Retrain:
-		// cloud-edge path: diagnose stuck cells (leaves arrays reprogrammed),
-		// fine-tune the readout weights around the frozen faults on the
-		// self-labelled set, redeploy, and hand the new reference back for
-		// monitor recommissioning
-		stuck, err := repair.DiagnoseStuck(p.accel, p.ref, 0.3)
-		if err != nil {
-			return nil, err
-		}
-		faulty := p.accel.ReadoutNetwork()
-		rcfg := repair.DefaultRetrainConfig()
-		rcfg.Epochs = p.cfg.RetrainEpochs
-		rcfg.Seed = p.r.Int63()
-		repair.RetrainAround(faulty, stuck, p.tmpl.train, nil, rcfg)
-		p.accel.ProgramNetwork(faulty)
-		p.ref = faulty
-		return faulty, nil
-	case repair.Replace:
-		// module replacement: a fresh part programmed with the original
-		// clean weights (cloned — the template stays shared and immutable)
-		p.ref = p.tmpl.clean.Clone()
-		p.accel = reram.NewAccelerator(p.ref, p.reramConfig(), p.r.Int63())
-		p.accel.SetCounter(p.counter) // cost history spans the replacement
-		// unlike fab-time commissioning, programming a replacement part in
-		// the field is repair work the fleet pays for: charge the full write
-		// pass to the repair class (integer bookkeeping only — device state
-		// and numerics are untouched)
-		p.counter.ChargeClass(reram.ClassRepair, p.accel.CommissionCost())
-		return p.ref, nil
-	default:
-		return nil, fmt.Errorf("campaign: unknown repair action %v", action)
-	}
-}
-
-// Diagnose implements health.StrategyRepairer: an RNG-free census of what is
+// Diagnose implements health.Repairer: an RNG-free census of what is
 // wrong with the hardware right now. Stuck counts only UNCOMPENSATED pair
 // positions — a stuck cell whose differential partner already re-encodes the
 // weight around it no longer motivates a remap.
@@ -450,18 +406,27 @@ func (p *Plant) Diagnose(confirmed monitor.Status) repair.Diagnosis {
 	}
 }
 
-// Strategies implements health.StrategyRepairer: the plant's repair ladder in
-// escalation order. Empty unless the campaign opted in (cfg.Ladder), which
-// keeps legacy campaigns on the fixed-action path byte-for-byte. The
-// RetrainOnly variant is the lifetime soak's control arm: the same cost
-// accounting with the cloud-edge retrain as the only rung.
+// Strategies implements health.Repairer: the plant's repair ladder in
+// escalation order. By default it is the fixed reprogram → retrain →
+// replace suite (repair.Tier rungs, one unit each), which opens an episode
+// at the mechanism repair.PlanFor names for the confirmed status. Ladder
+// swaps in the scrub → remap → retrain strategy ladder; RetrainOnly is the
+// lifetime soak's control arm: the same cost accounting with the cloud-edge
+// retrain as the only rung.
 func (p *Plant) Strategies() []repair.Strategy {
-	if !p.cfg.Ladder && !p.cfg.RetrainOnly {
-		return nil
-	}
 	retrain := p.counted(p.retrainStrategy())
-	if p.cfg.RetrainOnly {
+	switch {
+	case p.cfg.RetrainOnly:
 		return []repair.Strategy{retrain}
+	case !p.cfg.Ladder:
+		return []repair.Strategy{
+			repair.Tier(repair.Reprogram, func(context.Context, repair.Diagnosis) (repair.Report, error) {
+				p.accel.Reprogram()
+				return repair.Report{AccBefore: -1, AccAfter: -1}, nil
+			}),
+			repair.Tier(repair.Retrain, retrain.Apply),
+			repair.Tier(repair.Replace, p.replace),
+		}
 	}
 	tol := p.scrubTol()
 	scrub := repair.NewScrub(p.accel, tol)
@@ -500,6 +465,20 @@ func (p *Plant) retrainStrategy() repair.Strategy {
 			return rep, err
 		},
 	}
+}
+
+// replace is module replacement: a fresh part programmed with the original
+// clean weights (cloned — the template stays shared and immutable).
+func (p *Plant) replace(context.Context, repair.Diagnosis) (repair.Report, error) {
+	p.ref = p.tmpl.clean.Clone()
+	p.accel = reram.NewAccelerator(p.ref, p.reramConfig(), p.r.Int63())
+	p.accel.SetCounter(p.counter) // cost history spans the replacement
+	// unlike fab-time commissioning, programming a replacement part in the
+	// field is repair work the fleet pays for: charge the full write pass to
+	// the repair class (integer bookkeeping only — device state and numerics
+	// are untouched)
+	p.counter.ChargeClass(reram.ClassRepair, p.accel.CommissionCost())
+	return repair.Report{NewRef: p.ref, AccBefore: -1, AccAfter: -1}, nil
 }
 
 // counted decorates a strategy with the typed-error audit the lifetime soak

@@ -286,6 +286,21 @@ func TestEngineF32RejectsUnbatchable(t *testing.T) {
 	}
 }
 
+// TestEngineI8RejectsOverwideDense: a dense layer wider than tensor.MaxI8K
+// could overflow the int32 accumulator, so the I8 tier must refuse to
+// compile it rather than wrap silently.
+func TestEngineI8RejectsOverwideDense(t *testing.T) {
+	k := tensor.MaxI8K + 1
+	net := nn.NewNetwork("wide", k, nn.NewDense("fc", rng.New(1), k, 1))
+	if _, err := Compile(net, Options{Precision: tensor.I8}); err == nil ||
+		!strings.Contains(err.Error(), "int8 accumulator caps") {
+		t.Fatalf("compile error = %v, want the MaxI8K rejection", err)
+	}
+	if _, err := Compile(net, Options{Precision: tensor.F64}); err != nil {
+		t.Fatalf("f64 compile of the same layer failed: %v", err)
+	}
+}
+
 // TestEngineFastTierCostReflectsPrecision: a plan's modeled per-sample cost
 // must get cheaper with the tier — narrower buffers on F32, narrower buffers
 // AND cheaper conversions on I8 — while event counts stay put.

@@ -40,8 +40,8 @@ type Device interface {
 	// drops. Engines are single-goroutine objects, which is exactly the
 	// one-worker-per-device contract above.
 	Infer() monitor.Infer
-	// Repairer executes repair actions against this device (nil disables
-	// repair).
+	// Repairer is this device's repair-strategy ladder (nil, or an empty
+	// suite, disables repair).
 	Repairer() health.Repairer
 	// Reference is the model the device's monitor must be commissioned
 	// against right now (it changes after a retraining repair).
@@ -75,11 +75,11 @@ type Config struct {
 	// half-open probe (0 → 3).
 	BreakerCooldown int
 	// RepairBudget is each device's lifetime repair allowance; exhausting it
-	// retires the device to hardware service (0 → 6). Against a plain
-	// health.Repairer it is counted in (apply, verify) cycles; against a
-	// health.StrategyRepairer it is counted in strategy cost units
-	// (repair.CostScrub, repair.CostRemap, …), so a cheap scrub spends less
-	// lifetime than a cloud-edge retrain.
+	// retires the device to hardware service (0 → 6). One unit is one unit
+	// of strategy cost: each rung applied charges its Cost()
+	// (repair.CostScrub, repair.CostRemap, …; one unit per repair.Tier
+	// rung), so a cheap scrub spends less lifetime than a cloud-edge
+	// retrain.
 	RepairBudget int
 	// MinServing is the load-shedding floor: the router refuses to dispatch
 	// when fewer devices serve (0 → 1).
@@ -512,19 +512,14 @@ func (s *Supervisor) tickDevice(ctx context.Context, ds *deviceState) RoundResul
 	}
 
 	// the whole remaining lifetime budget is granted: the runtime caps its
-	// own spend (MaxRepairAttempts cycles on the action path; cost units and
-	// MaxRepairAttempts both on the strategy-ladder path) and reports the
+	// own spend (cost units, and MaxRepairAttempts cycles) and reports the
 	// actual charge back in Episode.CostSpent
 	ep := ds.rt.SuperviseBudgetCtx(ctx, ds.dev.Infer(), ds.dev.Repairer(), ds.budget)
 	ds.budget -= ep.CostSpent
 	for _, att := range ep.Attempts {
-		name := att.Strategy
-		if name == "" {
-			name = att.Action.String()
-		}
 		ds.logDecision(RepairDecision{
 			Round:    s.round,
-			Strategy: name,
+			Strategy: att.Strategy,
 			Cost:     att.Cost,
 			Verified: att.Verified,
 			Failed:   att.ApplyErr != nil,

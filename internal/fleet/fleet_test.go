@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"os"
@@ -38,7 +39,7 @@ type fakeDevice struct {
 	deadFrom, deadTo int // sensor-dead window [from, to] (0 = never)
 
 	repairs     int
-	failRepairs bool // repair tooling broken: every Apply errors
+	failRepairs bool // repair tooling broken: every rung's Apply errors
 }
 
 func (d *fakeDevice) ID() string                    { return d.id }
@@ -72,13 +73,26 @@ func (d *fakeDevice) Infer() monitor.Infer {
 	}
 }
 
-func (d *fakeDevice) Apply(repair.Action) (*nn.Network, error) {
-	d.repairs++
-	if d.failRepairs {
-		return nil, errors.New("fakeDevice: repair tooling offline")
+// Strategies is the fixed reprogram → retrain → replace suite; any rung
+// clears the damage unless the repair tooling is broken.
+func (d *fakeDevice) Strategies() []repair.Strategy {
+	apply := func(context.Context, repair.Diagnosis) (repair.Report, error) {
+		d.repairs++
+		if d.failRepairs {
+			return repair.Report{}, errors.New("fakeDevice: repair tooling offline")
+		}
+		d.damaged = false
+		return repair.Report{}, nil
 	}
-	d.damaged = false
-	return nil, nil
+	return []repair.Strategy{
+		repair.Tier(repair.Reprogram, apply),
+		repair.Tier(repair.Retrain, apply),
+		repair.Tier(repair.Replace, apply),
+	}
+}
+
+func (d *fakeDevice) Diagnose(confirmed monitor.Status) repair.Diagnosis {
+	return repair.Diagnosis{Status: confirmed}
 }
 
 // testFleet builds n scripted devices with identical (but separately owned)

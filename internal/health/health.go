@@ -13,9 +13,10 @@
 //     bounded exponential backoff, and counted. A poisoned readout never
 //     crashes the runtime and never yields a Healthy verdict.
 //   - unbounded state: the per-round history is a bounded ring buffer.
-//   - open-loop repair: see supervise.go — repairs are verified, escalated
-//     on verification failure, and abandoned gracefully when the retry
-//     budget is exhausted.
+//   - open-loop repair: see supervise.go — each device's repair mechanisms
+//     form one cost-ordered strategy ladder; repairs are verified, escalated
+//     up the ladder on verification failure, and abandoned gracefully when
+//     the ladder, the attempt cap or the cost budget runs out.
 package health
 
 import (
@@ -51,9 +52,9 @@ type Config struct {
 	Sleep func(time.Duration)
 	// MaxHistory bounds the retained Round ring buffer (0 → 256).
 	MaxHistory int
-	// MaxRepairAttempts is the supervised repair loop's escalation budget:
-	// how many (apply, verify) cycles may run for one fault episode before
-	// the runtime gives up and recommends hardware service.
+	// MaxRepairAttempts caps the (apply, verify) cycles one fault episode
+	// may run before the runtime gives up and recommends hardware service.
+	// Supervise also grants each episode this many cost units of budget.
 	MaxRepairAttempts int
 	// VerifyRounds is how many consecutive clean raw checks a repair must
 	// pass before it is accepted (>1 makes verification itself noise-proof).

@@ -243,19 +243,34 @@ func TestHistoryRingBounded(t *testing.T) {
 }
 
 // stepRepairer simulates hardware whose damage only the given action level
-// can clear.
+// can clear, repaired over the fixed reprogram → retrain → replace tiers.
+// With err set every application fails with it.
 type stepRepairer struct {
 	needs   repair.Action
 	applied []repair.Action
 	fixed   bool
+	err     error
 }
 
-func (s *stepRepairer) Apply(a repair.Action) (*nn.Network, error) {
-	s.applied = append(s.applied, a)
-	if a >= s.needs {
-		s.fixed = true
+func (s *stepRepairer) Strategies() []repair.Strategy {
+	var out []repair.Strategy
+	for _, a := range []repair.Action{repair.Reprogram, repair.Retrain, repair.Replace} {
+		out = append(out, repair.Tier(a, func(context.Context, repair.Diagnosis) (repair.Report, error) {
+			s.applied = append(s.applied, a)
+			if s.err != nil {
+				return repair.Report{}, s.err
+			}
+			if a >= s.needs {
+				s.fixed = true
+			}
+			return repair.Report{}, nil
+		}))
 	}
-	return nil, nil
+	return out
+}
+
+func (s *stepRepairer) Diagnose(confirmed monitor.Status) repair.Diagnosis {
+	return repair.Diagnosis{Status: confirmed}
 }
 
 func TestSuperviseEscalatesUntilVerified(t *testing.T) {
@@ -315,9 +330,7 @@ func TestSuperviseRepairApplyError(t *testing.T) {
 	cfg.MaxRepairAttempts = 2
 	rt, net := testRuntime(t, cfg)
 	bad := shiftInfer(net, 0.04)
-	failing := RepairerFunc(func(a repair.Action) (*nn.Network, error) {
-		return nil, errors.New("actuator offline")
-	})
+	failing := &stepRepairer{needs: repair.Replace, err: errors.New("actuator offline")}
 	ep := rt.Supervise(bad, failing)
 	if !ep.GaveUp || len(ep.Attempts) != 2 {
 		t.Fatalf("failing repairer episode: %s", ep)

@@ -11,7 +11,7 @@ import (
 	"reramtest/internal/tensor"
 )
 
-// scriptedLadder is a StrategyRepairer whose rungs are scripted: damage
+// scriptedLadder is a Repairer whose rungs are scripted: damage
 // clears only when the strategy named fixedBy applies cleanly, and rungs in
 // failing error out of Apply.
 type scriptedLadder struct {
@@ -20,10 +20,6 @@ type scriptedLadder struct {
 	fixed   bool
 	failing map[string]bool
 	applied []string
-}
-
-func (s *scriptedLadder) Apply(repair.Action) (*nn.Network, error) {
-	return nil, errors.New("scriptedLadder: legacy action path must not run")
 }
 
 func (s *scriptedLadder) Diagnose(monitor.Status) repair.Diagnosis { return s.diag }

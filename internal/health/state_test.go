@@ -6,7 +6,6 @@ import (
 
 	"reramtest/internal/models"
 	"reramtest/internal/monitor"
-	"reramtest/internal/nn"
 	"reramtest/internal/repair"
 	"reramtest/internal/rng"
 	"reramtest/internal/tensor"
@@ -116,14 +115,10 @@ func TestSuperviseBudgetZero(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.EscalateAfter = 1
 	rt, net := testRuntime(t, cfg)
-	applied := 0
-	rep := RepairerFunc(func(repair.Action) (*nn.Network, error) {
-		applied++
-		return nil, nil
-	})
+	rep := &stepRepairer{needs: repair.Action(99)}
 	ep := rt.SuperviseBudget(shiftInfer(net, 0.2), rep, 0)
-	if ep.Repaired() || applied != 0 {
-		t.Fatalf("zero-budget episode ran repairs: attempts=%d applied=%d", len(ep.Attempts), applied)
+	if ep.Repaired() || len(rep.applied) != 0 {
+		t.Fatalf("zero-budget episode ran repairs: attempts=%d applied=%d", len(ep.Attempts), len(rep.applied))
 	}
 	if !ep.GaveUp {
 		t.Fatal("zero-budget episode on confirmed damage did not give up")

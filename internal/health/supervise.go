@@ -1,10 +1,16 @@
-// Supervised repair: the closed loop the paper motivates, hardened. A
-// confirmed degradation plans the cheapest adequate repair (repair.PlanFor),
-// applies it, then *verifies* recovery with fresh concurrent-test rounds.
-// Verification failure escalates to the next costlier mechanism
-// (reprogram → retrain → replace); exhausting the budget gives up gracefully
-// with a hardware-service recommendation instead of looping forever or
-// declaring victory open-loop.
+// Supervised repair: the closed loop the paper motivates, hardened. Every
+// device exposes its repair mechanisms as one ladder — an ordered suite of
+// repair.Strategy rungs, cheapest first, each with a cost in the fleet's
+// repair-budget units. A confirmed degradation opens an episode at the
+// cheapest rung that applies to the hardware's diagnosis, applies it, then
+// *verifies* recovery with fresh concurrent-test rounds. A rung that fails
+// verification escalates to the next applicable rung above it. Each
+// application is charged against the episode's budget; running out of
+// rungs, attempts or budget gives up gracefully with a hardware-service
+// recommendation instead of looping forever or declaring victory
+// open-loop, and advises retirement when the cheapest strategy still
+// applicable no longer fits what is left — so a fleet retires a device the
+// moment further spend cannot help, not after its budget bleeds to zero.
 package health
 
 import (
@@ -13,33 +19,27 @@ import (
 	"strings"
 
 	"reramtest/internal/monitor"
-	"reramtest/internal/nn"
 	"reramtest/internal/repair"
 	"reramtest/internal/reram"
 	"reramtest/internal/tensor"
 )
 
-// Repairer executes repair actions against the physical accelerator. Apply
-// returns a non-nil network when the repair changed the deployed reference
-// weights (retraining, module replacement) — the runtime then recommissions
-// the monitor against it so golden outputs track the model actually on the
-// device.
+// Repairer is a device's repair ladder. A nil Repairer, or one whose suite
+// is empty, disables repair.
 type Repairer interface {
-	Apply(action repair.Action) (newRef *nn.Network, err error)
+	// Strategies returns the ladder in escalation order (cheapest first).
+	// The slice must be stable across calls within an episode.
+	Strategies() []repair.Strategy
+	// Diagnose inspects the hardware and summarises what is wrong, given the
+	// currently confirmed status; strategies gate their Applicable on it.
+	Diagnose(confirmed monitor.Status) repair.Diagnosis
 }
-
-// RepairerFunc adapts a function to the Repairer interface.
-type RepairerFunc func(action repair.Action) (*nn.Network, error)
-
-// Apply implements Repairer.
-func (f RepairerFunc) Apply(a repair.Action) (*nn.Network, error) { return f(a) }
 
 // Attempt records one (apply, verify) cycle of a repair episode.
 type Attempt struct {
-	Action         repair.Action
-	Strategy       string  // strategy name on the ladder path; "" on the action path
-	Cost           int     // budget units charged (1 on the action path)
-	ApplyErr       error   // the action itself failed (episode escalates)
+	Strategy       string  // name of the ladder rung applied
+	Cost           int     // budget units charged: the rung's Cost()
+	ApplyErr       error   // the application itself failed (episode escalates)
 	Verified       bool    // all verification rounds came back Healthy
 	VerifyDist     float64 // worst AllDist seen across verification rounds
 	Recommissioned bool    // the monitor's golden reference was recaptured
@@ -52,12 +52,8 @@ type Attempt struct {
 
 // String renders the attempt on one line.
 func (a Attempt) String() string {
-	label := a.Action.String()
-	if a.Strategy != "" {
-		label = a.Strategy
-	}
 	if a.ApplyErr != nil {
-		return fmt.Sprintf("%s: apply failed: %v", label, a.ApplyErr)
+		return fmt.Sprintf("%s: apply failed: %v", a.Strategy, a.ApplyErr)
 	}
 	verdict := "FAILED verification"
 	if a.Verified {
@@ -67,7 +63,7 @@ func (a Attempt) String() string {
 	if a.Recommissioned {
 		recom = ", recommissioned"
 	}
-	return fmt.Sprintf("%s: %s (worst verify dist %.4f%s)", label, verdict, a.VerifyDist, recom)
+	return fmt.Sprintf("%s: %s (worst verify dist %.4f%s)", a.Strategy, verdict, a.VerifyDist, recom)
 }
 
 // Episode is the outcome of one Supervise call.
@@ -87,8 +83,8 @@ type Episode struct {
 	Recommendation string
 	// Final is the runtime's confirmed status after the episode.
 	Final monitor.Status
-	// CostSpent is the budget charge for this episode: the sum of strategy
-	// Cost() on the ladder path, or one unit per attempt on the action path.
+	// CostSpent is the budget charge for this episode: the summed Cost() of
+	// every rung applied.
 	CostSpent int
 	// Measured is the summed measured hardware spend of the episode's repair
 	// applications (see Attempt.Measured).
@@ -122,8 +118,9 @@ func (e Episode) String() string {
 
 // Supervise runs one hardened monitoring round and, when the debounced
 // status confirms damage (≥ Degraded), drives the detect→repair→verify loop
-// until the accelerator verifies clean, the escalation ladder tops out, or
-// the attempt budget runs dry. It never panics.
+// until the accelerator verifies clean, the ladder tops out, or the budget
+// runs dry. The episode's budget is MaxRepairAttempts cost units. It never
+// panics.
 //
 // accel is typically batch-first: monitor.NetworkInfer and the campaign
 // plants hand back engine-backed Infers (internal/engine) whose one call per
@@ -140,11 +137,13 @@ func (rt *Runtime) SuperviseCtx(ctx context.Context, accel monitor.Infer, rep Re
 	return rt.SuperviseBudgetCtx(ctx, accel, rep, rt.cfg.MaxRepairAttempts)
 }
 
-// SuperviseBudget is Supervise with an explicit cap on this episode's
-// (apply, verify) cycles, for callers that account repair spend across
-// episodes — the fleet supervisor grants each episode
-// min(MaxRepairAttempts, lifetime budget remaining). With budget ≤ 0 no
-// repair is attempted: a confirmed-damaged round then reports GaveUp
+// SuperviseBudget is Supervise with an explicit budget for this episode, in
+// strategy cost units, for callers that account repair spend across
+// episodes — the fleet supervisor grants each episode the device's whole
+// remaining lifetime budget. The number of (apply, verify) cycles is capped
+// separately by cfg.MaxRepairAttempts, so a suite of zero-cost strategies
+// cannot loop unboundedly. With budget ≤ 0 no repair is attempted: a
+// confirmed-damaged round then reports GaveUp and RetireAdvised
 // immediately, which is the fleet's cue to retire the device to hardware
 // service.
 func (rt *Runtime) SuperviseBudget(accel monitor.Infer, rep Repairer, budget int) Episode {
@@ -153,21 +152,24 @@ func (rt *Runtime) SuperviseBudget(accel monitor.Infer, rep Repairer, budget int
 
 // SuperviseBudgetCtx is SuperviseBudget with a cancellation context. A ctx
 // that expires aborts retry/backoff sleeps promptly (see CheckCtx) and stops
-// the escalation ladder between attempts: no new repair cycle starts once
-// ctx is done, so a shutting-down supervisor drains in bounded time instead
-// of finishing a full escalate-and-verify schedule nobody is waiting for.
-// An attempt already applying or verifying runs to completion — repairs are
+// the ladder between attempts: no new repair cycle starts once ctx is done,
+// so a shutting-down supervisor drains in bounded time instead of finishing
+// a full escalate-and-verify schedule nobody is waiting for. An attempt
+// already applying or verifying runs to completion — repairs are
 // transactions, and tearing one down halfway would leave the hardware in a
 // state the journal cannot describe.
+//
+// Each rung is tried at most once per episode, starting from the cheapest
+// rung that applies to the diagnosis; a rung that fails verification
+// escalates to the next applicable rung above it.
 func (rt *Runtime) SuperviseBudgetCtx(ctx context.Context, accel monitor.Infer, rep Repairer, budget int) Episode {
 	round := rt.CheckCtx(ctx, accel)
 	ep := Episode{Trigger: round, Final: rt.confirmed, Recommendation: "none"}
 	if round.Confirmed < monitor.Degraded || rep == nil {
 		return ep
 	}
-
-	action := repair.PlanFor(round.Confirmed)
-	if action == repair.NoAction {
+	strats := rep.Strategies()
+	if len(strats) == 0 {
 		return ep
 	}
 	if budget <= 0 {
@@ -176,30 +178,37 @@ func (rt *Runtime) SuperviseBudgetCtx(ctx context.Context, accel monitor.Infer, 
 		ep.Recommendation = "hardware service: repair budget exhausted"
 		return ep
 	}
-	// a repairer that exposes a strategy ladder takes the cost-accounted
-	// path: budget is in cost units there (NOT clamped to MaxRepairAttempts,
-	// which caps attempts separately)
-	if sr, ok := rep.(StrategyRepairer); ok {
-		if strats := sr.Strategies(); len(strats) > 0 {
-			return rt.superviseLadder(ctx, accel, sr, strats, budget, ep)
+
+	next := 0 // lowest rung still eligible this episode
+	for len(ep.Attempts) < rt.cfg.MaxRepairAttempts && ctx.Err() == nil {
+		diag := rep.Diagnose(rt.confirmed)
+		pick := -1
+		for i := next; i < len(strats); i++ {
+			if strats[i].Applicable(diag) {
+				pick = i
+				break
+			}
 		}
-	}
-	if budget > rt.cfg.MaxRepairAttempts {
-		budget = rt.cfg.MaxRepairAttempts
-	}
-	for len(ep.Attempts) < budget {
-		if ctx.Err() != nil {
+		if pick < 0 || strats[pick].Cost() > budget-ep.CostSpent {
+			// no rung at or above the current one applies, or the cheapest
+			// eligible one no longer fits: stop before spending what we
+			// cannot afford; the give-up check below decides on retirement
 			break
 		}
-		att := Attempt{Action: action, Cost: 1}
-		var newRef *nn.Network
+		s := strats[pick]
+		att := Attempt{Strategy: s.Name(), Cost: s.Cost()}
+		var rp repair.Report
 		var err error
-		rt.meterRepair(&att, func() { newRef, err = rep.Apply(action) })
+		rt.meterRepair(&att, func() { rp, err = s.Apply(ctx, diag) })
+		// the cost is charged even when the application fails: the hardware
+		// operation ran (or partially ran) and the fleet's lifetime budget
+		// models wear, not success
+		ep.CostSpent += s.Cost()
 		if err != nil {
 			att.ApplyErr = err
 		} else {
-			if newRef != nil {
-				rt.mon.Recommission(newRef)
+			if rp.NewRef != nil {
+				rt.mon.Recommission(rp.NewRef)
 				att.Recommissioned = true
 			}
 			att.Verified, att.VerifyDist = rt.verify(ctx, accel)
@@ -214,25 +223,40 @@ func (rt *Runtime) SuperviseBudgetCtx(ctx context.Context, accel monitor.Infer, 
 			ep.Recommendation = "none"
 			break
 		}
-		next, ok := escalate(action)
-		if !ok {
-			// the ladder is exhausted: even Replace did not verify
-			break
-		}
-		action = next
+		next = pick + 1
 	}
 	ep.Final = rt.confirmed
-	ep.CostSpent = len(ep.Attempts)
-	if !ep.Recovered {
-		if ctx.Err() != nil {
-			// the caller canceled, the hardware was not exonerated or
-			// condemned — the episode ends without a service verdict so a
-			// drain-time cancellation cannot retire a repairable device
-			ep.Recommendation = fmt.Sprintf("episode aborted: %v", ctx.Err())
-		} else {
-			ep.GaveUp = true
-			ep.Recommendation = "hardware service: spare-array remapping or module replacement"
+	if ep.Recovered {
+		return ep
+	}
+	if ctx.Err() != nil {
+		// the caller canceled, the hardware was not exonerated or condemned —
+		// the episode ends without a service verdict so a drain-time
+		// cancellation cannot retire a repairable device
+		ep.Recommendation = fmt.Sprintf("episode aborted: %v", ctx.Err())
+		return ep
+	}
+	ep.GaveUp = true
+	// retire only when the cheapest strategy still applicable — a future
+	// episode restarts at the bottom rung — exceeds what is left, or nothing
+	// applies at all: keeping the device costs rounds and can never produce
+	// a repair
+	diag := rep.Diagnose(rt.confirmed)
+	cheapest := -1
+	for _, s := range strats {
+		if s.Applicable(diag) && (cheapest < 0 || s.Cost() < cheapest) {
+			cheapest = s.Cost()
 		}
+	}
+	switch {
+	case cheapest < 0:
+		ep.RetireAdvised = true
+		ep.Recommendation = "hardware service: no applicable repair strategy"
+	case cheapest > budget-ep.CostSpent:
+		ep.RetireAdvised = true
+		ep.Recommendation = "hardware service: cheapest applicable strategy exceeds remaining budget"
+	default:
+		ep.Recommendation = "hardware service: ladder exhausted without verification"
 	}
 	return ep
 }
@@ -274,18 +298,4 @@ func (rt *Runtime) meterRepair(att *Attempt, apply func()) {
 	apply()
 	att.Measured = rt.counter.Snapshot().Repair.Minus(before)
 	rt.counter.SetClass(prevClass)
-}
-
-// escalate returns the next costlier repair mechanism.
-func escalate(a repair.Action) (repair.Action, bool) {
-	switch a {
-	case repair.NoAction:
-		return repair.Reprogram, true
-	case repair.Reprogram:
-		return repair.Retrain, true
-	case repair.Retrain:
-		return repair.Replace, true
-	default:
-		return repair.Replace, false
-	}
 }

@@ -14,7 +14,8 @@ import (
 // one of these, and StatusFor maps each onto one HTTP status code.
 var (
 	// ErrInvalid: the request never made sense — bad JSON, missing tenant,
-	// wrong input width, batch over MaxRows. Never admitted, never retried.
+	// wrong input width, batch over MaxRows, an input value beyond
+	// ±MaxInputAbs. Never admitted, never retried.
 	ErrInvalid = errors.New("netserve: invalid request")
 
 	// ErrQuota: the tenant's token bucket is empty. The request was never

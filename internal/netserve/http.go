@@ -131,9 +131,11 @@ func (f *Frontend) handleInfer(w http.ResponseWriter, r *http.Request) {
 			writeError(w, fmt.Errorf("netserve: bad %s %q: %w", DeadlineHeader, raw, ErrInvalid))
 			return
 		}
-		d := time.Duration(ms) * time.Millisecond
-		if d > f.cfg.MaxDeadline {
-			d = f.cfg.MaxDeadline
+		// clamp before scaling: a huge header value would overflow the
+		// Duration into a negative, already-expired deadline
+		d := f.cfg.MaxDeadline
+		if int64(ms) < int64(d/time.Millisecond) {
+			d = time.Duration(ms) * time.Millisecond
 		}
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, d)

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 )
@@ -77,13 +78,16 @@ func TestHTTPHappyPath(t *testing.T) {
 func TestHTTPErrorMapping(t *testing.T) {
 	_, _, ts := httpTier(t, Config{MaxRows: 4, Quota: QuotaConfig{Rate: 0.001, Burst: 2}})
 
-	// 400: bad JSON, bad width, oversized batch, bad priority, bad deadline
+	// 400: bad JSON, bad width, oversized batch, out-of-range input, bad
+	// priority, bad deadline
+	huge := strings.Replace(inferBody("t", 1, 16), "0.25", "1e300", 1)
 	for i, c := range []struct {
 		body string
 		hdr  map[string]string
 	}{
 		{"{not json", nil},
 		{inferBody("t", 1, 7), nil},
+		{huge, nil},
 		{inferBody("t", 5, 16), nil},
 		{`{"tenant":"t","priority":"turbo","input":[[1]]}`, nil},
 		{inferBody("t", 1, 16), map[string]string{DeadlineHeader: "soon"}},

@@ -10,8 +10,8 @@
 // The request path, outside-in:
 //
 //   - Validation. A request that never made sense (bad width, oversized
-//     batch, missing tenant) is refused with ErrInvalid before touching
-//     quota or shard state.
+//     batch, missing tenant, an input value beyond ±MaxInputAbs) is
+//     refused with ErrInvalid before touching quota or shard state.
 //   - Quota. Each tenant owns a token bucket denominated in batch rows.
 //     An empty bucket answers ErrQuota (HTTP 429) — the tenant was never
 //     admitted, so the invariant set the soak audits counts it separately.
@@ -45,6 +45,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"math"
 	"sort"
 	"strconv"
 	"sync"
@@ -58,6 +59,13 @@ import (
 	"reramtest/internal/serve"
 	"reramtest/internal/tensor"
 )
+
+// MaxInputAbs bounds the magnitude of every request input value. Model
+// inputs are normalised intensities; a value far beyond them can overflow a
+// healthy device's arithmetic into non-finite confidences, which the serving
+// path books as a device fault — so one client could trip the breakers of
+// every device it reaches.
+const MaxInputAbs = 1e6
 
 // Policy selects the dispatcher.
 type Policy int
@@ -462,6 +470,12 @@ func (f *Frontend) Do(ctx context.Context, req Request) (Result, error) {
 	if rows < 1 || rows > f.cfg.MaxRows {
 		f.invalid.Add(1)
 		return Result{}, fmt.Errorf("netserve: batch of %d rows outside [1, %d]: %w", rows, f.cfg.MaxRows, ErrInvalid)
+	}
+	for _, v := range req.X.Data() {
+		if !(math.Abs(v) <= MaxInputAbs) { // NaN fails the comparison too
+			f.invalid.Add(1)
+			return Result{}, fmt.Errorf("netserve: input value %g outside ±%g: %w", v, MaxInputAbs, ErrInvalid)
+		}
 	}
 	if !f.quotas.Allow(req.Tenant, float64(rows)) {
 		f.quotaRejected.Add(1)

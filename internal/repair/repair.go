@@ -4,8 +4,13 @@
 // retraining ... are tailored for different stages based on the severity of
 // the fault model"). Together with internal/monitor it closes the loop:
 // detect → classify severity → apply the cheapest adequate repair → verify.
+// Every mechanism reaches the hardware as a Strategy (strategy.go), and the
+// supervised runtime (internal/health) dispatches them all through one
+// cost-ordered ladder.
 //
-// Three mechanisms are provided, in increasing cost order:
+// Three fixed actions are defined, in increasing cost order; Tier turns
+// each into a one-unit ladder rung entered at the severity PlanFor maps to
+// it:
 //
 //   - Reprogram: rewrite all crossbar conductances to their targets. Fixes
 //     drift and accumulated soft errors; cannot fix stuck cells. Cost: one
@@ -169,9 +174,9 @@ func DiagnoseStuck(accel *reram.Accelerator, target *nn.Network, tol float64) (S
 // Report summarises one repair round.
 type Report struct {
 	Action    Action
-	Strategy  string // strategy name when produced by a Strategy; "" otherwise
-	Stuck     int    // stuck cells diagnosed (Remap/Retrain)
-	Cells     int    // cells rewritten / lines remapped (strategy repairs)
+	Strategy  string  // name of the strategy that produced the report
+	Stuck     int     // stuck cells diagnosed (Remap/Retrain)
+	Cells     int     // cells rewritten / lines remapped (strategy repairs)
 	AccBefore float64 // accuracy before repair (if measured; -1 otherwise)
 	AccAfter  float64 // accuracy after repair (if measured; -1 otherwise)
 	// NewRef, when non-nil, is a replacement reference network (fault-aware

@@ -10,11 +10,12 @@
 // quotes its Cost in the fleet's repair-budget currency, and Applies itself
 // against the hardware. The supervised runtime (internal/health) drives an
 // ordered ladder of strategies — cheapest first, escalating on verification
-// failure — and the fleet charges each device's lifetime budget by Cost()
-// instead of a flat per-attempt unit, so a device is retired only when the
-// cheapest strategy that could still help exceeds what remains.
+// failure — and the fleet charges each device's lifetime budget by Cost(),
+// so a device is retired only when the cheapest strategy that could still
+// help exceeds what remains. The severity-keyed fixed actions (Reprogram,
+// Retrain, Replace) ride the same ladder as one-unit Tier rungs.
 //
-// Four strategies exist, in escalation (= cost) order:
+// Four cost-graded strategies exist, in escalation (= cost) order:
 //
 //   - drop-connect hardening (harden.go): commissioning-time fault-aware
 //     training (arXiv:2404.15498) — free at runtime, applied before faults
@@ -180,6 +181,25 @@ func (f Func) Cost() int { return f.StrategyCost }
 
 // Apply implements Strategy.
 func (f Func) Apply(ctx context.Context, d Diagnosis) (Report, error) { return f.Do(ctx, d) }
+
+// Tier is the fixed-action rung for mechanism a: named a.String(), charged
+// one budget unit, and applicable once the diagnosed status plans for a or
+// for a cheaper mechanism (PlanFor(d.Status) <= a). A ladder of
+// Tier(Reprogram), Tier(Retrain), Tier(Replace) therefore opens each
+// episode at the mechanism PlanFor names and escalates one mechanism per
+// failed verification. do performs the repair; Tier stamps a and its name
+// on the report.
+func Tier(a Action, do func(ctx context.Context, d Diagnosis) (Report, error)) Strategy {
+	return Func{
+		StrategyName: a.String(), StrategyCost: 1,
+		When: func(d Diagnosis) bool { return PlanFor(d.Status) <= a },
+		Do: func(ctx context.Context, d Diagnosis) (Report, error) {
+			rep, err := do(ctx, d)
+			rep.Action, rep.Strategy = a, a.String()
+			return rep, err
+		},
+	}
+}
 
 // Scrubber is the hardware surface the soft-error scrub drives: sweep every
 // healthy cell, rewrite the ones whose conductance left the tolerance band.

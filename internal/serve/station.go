@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"sync"
 
 	"reramtest/internal/fleet"
@@ -97,9 +98,11 @@ func (st *Station) CostCounter() *reram.Counter {
 	return nil
 }
 
-// Repairer returns the device's repairer behind the station lock — a repair
-// (reprogramming a crossbar, swapping the accelerator model) must not
-// interleave with an inference on the same device.
+// Repairer returns the device's repair ladder behind the station lock — a
+// repair (reprogramming a crossbar, swapping the accelerator model) must not
+// interleave with an inference on the same device. Strategies, Diagnose and
+// every rung's Apply run under the lock with the cost counter on
+// ClassRepair; a rung's name, cost and applicability pass through unchanged.
 func (st *Station) Repairer() health.Repairer {
 	inner := st.dev.Repairer()
 	if inner == nil {
@@ -113,11 +116,33 @@ type lockedRepairer struct {
 	inner health.Repairer
 }
 
-func (lr lockedRepairer) Apply(a repair.Action) (*nn.Network, error) {
+// locked runs f under the station lock, charging the device as repair work.
+func (lr lockedRepairer) locked(f func()) {
 	lr.st.mu.Lock()
 	defer lr.st.mu.Unlock()
 	ctr := lr.st.CostCounter()
 	prev := ctr.SetClass(reram.ClassRepair)
 	defer ctr.SetClass(prev)
-	return lr.inner.Apply(a)
+	f()
+}
+
+func (lr lockedRepairer) Diagnose(confirmed monitor.Status) (d repair.Diagnosis) {
+	lr.locked(func() { d = lr.inner.Diagnose(confirmed) })
+	return d
+}
+
+func (lr lockedRepairer) Strategies() []repair.Strategy {
+	var rungs []repair.Strategy
+	lr.locked(func() { rungs = lr.inner.Strategies() })
+	out := make([]repair.Strategy, len(rungs))
+	for i, s := range rungs {
+		out[i] = repair.Func{
+			StrategyName: s.Name(), StrategyCost: s.Cost(), When: s.Applicable,
+			Do: func(ctx context.Context, d repair.Diagnosis) (rep repair.Report, err error) {
+				lr.locked(func() { rep, err = s.Apply(ctx, d) })
+				return rep, err
+			},
+		}
+	}
+	return out
 }

@@ -11,7 +11,7 @@ import (
 	"time"
 
 	"reramtest/internal/health"
-	"reramtest/internal/nn"
+	"reramtest/internal/monitor"
 	"reramtest/internal/repair"
 	"reramtest/internal/serve"
 )
@@ -92,12 +92,13 @@ func TestStationConcurrentInferAndRepair(t *testing.T) {
 		}(g)
 	}
 	rp := st.Repairer()
+	rung := rp.Strategies()[0]
 	for g := 0; g < 2; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 10; i++ {
-				if _, err := rp.Apply(repair.Reprogram); err != nil {
+				if _, err := rung.Apply(context.Background(), rp.Diagnose(monitor.Degraded)); err != nil {
 					t.Error("repair under contention:", err)
 					return
 				}
@@ -116,13 +117,19 @@ type repairableDevice struct {
 	applies *atomic.Int64
 }
 
-func (d repairableDevice) Repairer() health.Repairer {
-	return health.RepairerFunc(func(a repair.Action) (*nn.Network, error) {
+func (d repairableDevice) Repairer() health.Repairer { return d }
+
+func (d repairableDevice) Diagnose(confirmed monitor.Status) repair.Diagnosis {
+	return repair.Diagnosis{Status: confirmed}
+}
+
+func (d repairableDevice) Strategies() []repair.Strategy {
+	return []repair.Strategy{repair.Tier(repair.Reprogram, func(context.Context, repair.Diagnosis) (repair.Report, error) {
 		d.applies.Add(1)
 		// hold the lock long enough for contention to matter under -race
 		time.Sleep(200 * time.Microsecond)
-		return nil, nil
-	})
+		return repair.Report{}, nil
+	})}
 }
 
 // TestStationUnderPreemptionCancelAndDrain is the full collision: monitoring

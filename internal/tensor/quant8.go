@@ -148,27 +148,6 @@ func DotI8(a, b []int8) int32 {
 	return s0 + s1 + s2 + s3
 }
 
-// MatMulTransBI8 computes dst = a·bᵀ over int8 codes with int32 accumulation:
-// a is m×k (quantized activation rows), b is n×k (transposed quantized
-// weights), dst is m×n. Integer addition is associative, so the unrolled fold
-// is exact — no envelope, no ordering caveats.
-func MatMulTransBI8(dst []int32, a, b []int8, m, k, n int) {
-	if len(a) != m*k || len(b) != n*k || len(dst) != m*n {
-		panic(fmt.Sprintf("tensor: MatMulTransBI8 length mismatch dst=%d a=%d b=%d for (%d×%d)·(%d×%d)ᵀ",
-			len(dst), len(a), len(b), m, k, n, k))
-	}
-	if k > MaxI8K {
-		panic(fmt.Sprintf("tensor: MatMulTransBI8 inner dimension %d exceeds MaxI8K=%d", k, MaxI8K))
-	}
-	for i := 0; i < m; i++ {
-		arow := a[i*k : (i+1)*k]
-		drow := dst[i*n : (i+1)*n]
-		for j := 0; j < n; j++ {
-			drow[j] = DotI8(arow, b[j*k:(j+1)*k])
-		}
-	}
-}
-
 // DequantI8 maps one integer accumulator back to float64:
 //
 //	y = sx·sw·(acc − zero·rowSum) + bias
